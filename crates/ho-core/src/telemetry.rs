@@ -13,7 +13,7 @@
 //!   window the harness drains the ring into a self-contained forensic
 //!   JSON artifact (see `ho-harness`).
 //! * a [`Metrics`] registry: allocation-free per-[`EventKind`] counters
-//!   and per-[`Phase`] log2-bucket latency histograms fed by scoped span
+//!   and per-[`Phase`] tick and span totals fed by scoped span
 //!   timers ([`Telemetry::clock`] / [`Telemetry::span`]), giving the
 //!   per-phase time breakdown (HO-set fill / send / delivery / predicate
 //!   monitoring / oracle) behind the `telemetry` section of
@@ -293,8 +293,8 @@ impl FlightRecorder {
     }
 }
 
-/// An executor phase with its own span timer and latency histogram —
-/// the five stages of `RoundExecutor::step_observed`, in loop order.
+/// An executor phase with its own span timer — the five stages of
+/// `RoundExecutor::step_observed`, in loop order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// The adversary (or predicate implementation) fills the HO sets.
@@ -311,11 +311,6 @@ pub enum Phase {
 
 /// How many [`Phase`] variants exist.
 pub const PHASES: usize = 5;
-
-/// log2 histogram buckets per phase (bucket `b` holds spans with
-/// `floor(log2(ticks)) == b - 1`; bucket 0 holds zero-tick spans, bucket
-/// 64 the `≥ 2^63`-tick tail).
-pub const HIST_BUCKETS: usize = 65;
 
 impl Phase {
     /// Stable snake_case name used in reports.
@@ -344,9 +339,9 @@ impl Phase {
 }
 
 /// The allocation-free metrics registry: per-kind event counters and
-/// per-phase span totals + log2 latency histograms. Plain inline arrays —
-/// creating one performs a single allocation (inside [`Telemetry::on`]'s
-/// box) and updating it performs none.
+/// per-phase span totals. Plain inline arrays — creating one performs a
+/// single allocation (inside [`Telemetry::on`]'s box) and updating it
+/// performs none.
 #[derive(Clone, Debug)]
 pub struct Metrics {
     /// Events recorded, by [`EventKind::index`].
@@ -355,8 +350,6 @@ pub struct Metrics {
     pub phase_ticks: [u64; PHASES],
     /// Spans closed per phase.
     pub phase_spans: [u64; PHASES],
-    /// log2-bucketed span durations per phase.
-    pub phase_hist: [[u64; HIST_BUCKETS]; PHASES],
 }
 
 impl Default for Metrics {
@@ -365,28 +358,20 @@ impl Default for Metrics {
             kind_counts: [0; EVENT_KINDS],
             phase_ticks: [0; PHASES],
             phase_spans: [0; PHASES],
-            phase_hist: [[0; HIST_BUCKETS]; PHASES],
         }
     }
 }
 
 impl Metrics {
-    /// The log2 bucket for a span of `ticks` (bucket 0 = zero ticks).
-    #[must_use]
-    pub fn bucket(ticks: u64) -> usize {
-        (64 - ticks.leading_zeros()) as usize
-    }
-
     /// Records one closed span.
     #[inline]
     pub fn observe_span(&mut self, phase: Phase, ticks: u64) {
         let p = phase as usize;
         self.phase_ticks[p] += ticks;
         self.phase_spans[p] += 1;
-        self.phase_hist[p][Self::bucket(ticks)] += 1;
     }
 
-    /// Zeroes every counter and histogram.
+    /// Zeroes every counter.
     pub fn clear(&mut self) {
         *self = Metrics::default();
     }
@@ -420,7 +405,7 @@ pub fn now_ticks() -> u64 {
 pub struct TelemetryInner {
     /// The event ring.
     pub recorder: FlightRecorder,
-    /// The counter/histogram registry.
+    /// The counter registry.
     pub metrics: Metrics,
 }
 
@@ -654,7 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_the_histograms() {
+    fn spans_feed_the_phase_totals() {
         let mut t = Telemetry::with_capacity(8);
         let t0 = t.clock();
         let t1 = t.span(Phase::HoFill, t0);
@@ -664,26 +649,10 @@ mod tests {
         assert_eq!(s.phase_spans[Phase::HoFill as usize], 1);
         assert_eq!(s.phase_spans[Phase::Send as usize], 1);
         assert_eq!(s.phase_spans.iter().sum::<u64>(), 2);
-        let inner = t.inner().expect("on");
-        let hist_total: u64 = inner.metrics.phase_hist[Phase::HoFill as usize]
-            .iter()
-            .sum();
-        assert_eq!(hist_total, 1);
         // Shares over all phases sum to 1 when anything was timed (or
         // all zero when the clock was too coarse to advance).
         let share_sum: f64 = Phase::all().iter().map(|p| s.phase_share(*p)).sum();
         assert!(share_sum == 0.0 || (share_sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn log2_buckets_are_monotone() {
-        assert_eq!(Metrics::bucket(0), 0);
-        assert_eq!(Metrics::bucket(1), 1);
-        assert_eq!(Metrics::bucket(2), 2);
-        assert_eq!(Metrics::bucket(3), 2);
-        assert_eq!(Metrics::bucket(4), 3);
-        assert_eq!(Metrics::bucket(u64::MAX), 64);
-        assert!(Metrics::bucket(u64::MAX) < HIST_BUCKETS);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use par::{
     ChunkPolicy,
 };
 pub use report::{
-    chunk_policy_json, forensic_artifact_json, predicate_totals_json, repro_command,
-    rsm_report_json, rsm_verdict_json, sim_report_json, sim_verdict_json, telemetry_event_json,
+    forensic_artifact_json, predicate_totals_json, repro_command, rsm_report_json,
+    rsm_verdict_json, sim_report_json, sim_verdict_json, telemetry_event_json,
     telemetry_summary_json, verdict_json, JsonFields, MessageTotals, PredicateTotals, SweepReport,
 };
 pub use rsm::{RsmCell, RsmCellKey, RsmReport, RsmScenario, RsmSweep, RsmTotals, RsmVerdict};

@@ -6,7 +6,7 @@
 //! pile up elsewhere (the same dynamic scheduling `rayon`'s `par_iter`
 //! provides; implemented on `std::thread::scope` because the build
 //! environment vendors no external crates). Chunked claiming amortises the
-//! atomic traffic over `CHUNK_TARGET` claims per worker, and
+//! atomic traffic over a few claims per worker, and
 //! [`par_map_with`] gives every worker a private, reusable scratch value —
 //! what lets the sweep carry its round buffers from scenario to scenario
 //! instead of re-allocating them per item.
@@ -15,13 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How the work-stealing map slices the item grid into claims.
 ///
-/// The defaults were chosen on a 1-core container and have never been
-/// tuned against real contention (ROADMAP's multi-core re-measure); making
-/// them configurable — builder-side and via environment — is what makes
-/// that re-measure actionable: rerun the sweep with `HO_SWEEP_CHUNK_TARGET`
-/// / `HO_SWEEP_CHUNK_MAX` overrides and diff the recorded throughput, no
-/// rebuild needed. The chosen parameters are recorded in every
-/// [`SweepReport`](crate::SweepReport) and in `BENCH_sweep.json`.
+/// The sweeps always run under [`ChunkPolicy::default`]; the type stays
+/// public so a caller with its own scheduling needs (a benchmark driving
+/// [`par_map_with_policy`] directly) can pass an explicit policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPolicy {
     /// Aim for this many chunk claims per worker: few enough that the
@@ -43,34 +39,11 @@ impl Default for ChunkPolicy {
 }
 
 impl ChunkPolicy {
-    /// The default policy with `HO_SWEEP_CHUNK_TARGET` / `HO_SWEEP_CHUNK_MAX`
-    /// environment overrides applied (ignored unless they parse as positive
-    /// integers).
-    #[must_use]
-    pub fn from_env() -> Self {
-        fn positive(var: &str) -> Option<usize> {
-            std::env::var(var)
-                .ok()?
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&v| v > 0)
-        }
-        let mut policy = ChunkPolicy::default();
-        if let Some(target) = positive("HO_SWEEP_CHUNK_TARGET") {
-            policy.target_claims = target;
-        }
-        if let Some(max) = positive("HO_SWEEP_CHUNK_MAX") {
-            policy.max_chunk = max;
-        }
-        policy
-    }
-
     /// The chunk size this policy yields for a grid of `items` over
     /// `workers` workers.
     #[must_use]
     pub fn chunk_size(&self, items: usize, workers: usize) -> usize {
-        // Saturating: target_claims is env-supplied and may be huge.
+        // Saturating: a caller-supplied target_claims may be huge.
         let claims = workers.saturating_mul(self.target_claims).max(1);
         (items / claims).clamp(1, self.max_chunk.max(1))
     }
@@ -78,8 +51,7 @@ impl ChunkPolicy {
 
 /// Maps `f` over `items` on `threads` worker threads, preserving order.
 ///
-/// `threads == 1` degenerates to a sequential map (no thread spawn), which
-/// the sweep uses to measure single-core baselines.
+/// `threads == 1` degenerates to a sequential map (no thread spawn).
 ///
 /// # Panics
 ///
@@ -109,11 +81,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    par_map_with_policy(items, threads, ChunkPolicy::from_env(), init, f)
+    par_map_with_policy(items, threads, ChunkPolicy::default(), init, f)
 }
 
-/// [`par_map_with`] under an explicit [`ChunkPolicy`] (the `Sweep` builder
-/// threads its configured policy through here).
+/// [`par_map_with`] under an explicit [`ChunkPolicy`].
 ///
 /// # Panics
 ///

@@ -1,13 +1,11 @@
 //! Aggregated sweep results and their JSON form.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use ho_core::telemetry::{Event, EventKind, Phase, TelemetrySummary};
 use ho_predicates::monitor::PredicateSummary;
 
 use crate::json::Json;
-use crate::par::ChunkPolicy;
 use crate::scenario::Verdict;
 
 /// Incremental object builder shared by every verdict/summary emitter —
@@ -171,15 +169,6 @@ pub struct SweepReport {
     pub decided: usize,
     /// Scenarios that hit a consensus safety violation.
     pub violations: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Throughput.
-    pub scenarios_per_sec: f64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// The work-stealing chunk policy the sweep ran under (recorded so a
-    /// chunk-tuning run is self-describing).
-    pub chunk: ChunkPolicy,
     /// Message-cost totals.
     pub totals: MessageTotals,
     /// Predicate-statistics totals over the monitored verdicts.
@@ -190,14 +179,9 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Folds verdicts into a report run under the given chunk policy.
+    /// Folds verdicts into a report.
     #[must_use]
-    pub fn aggregate(
-        verdicts: Vec<Verdict>,
-        elapsed: Duration,
-        threads: usize,
-        chunk: ChunkPolicy,
-    ) -> Self {
+    pub fn aggregate(verdicts: Vec<Verdict>) -> Self {
         let scenarios = verdicts.len();
         let decided = verdicts.iter().filter(|v| v.all_decided()).count();
         let violations = verdicts.iter().filter(|v| !v.is_safe()).count();
@@ -213,19 +197,10 @@ impl SweepReport {
             predicate_totals.absorb(summary);
         }
         let telemetry_totals = merge_telemetry(verdicts.iter().map(|v| v.telemetry.as_ref()));
-        let wall_seconds = elapsed.as_secs_f64();
         SweepReport {
             scenarios,
             decided,
             violations,
-            wall_seconds,
-            scenarios_per_sec: if wall_seconds > 0.0 {
-                scenarios as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            threads,
-            chunk,
             totals,
             predicate_totals,
             telemetry_totals,
@@ -295,10 +270,6 @@ impl SweepReport {
             ("scenarios", Json::UInt(self.scenarios as u64)),
             ("decided", Json::UInt(self.decided as u64)),
             ("violations", Json::UInt(self.violations as u64)),
-            ("wall_seconds", Json::Float(self.wall_seconds)),
-            ("scenarios_per_sec", Json::Float(self.scenarios_per_sec)),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("chunk", chunk_policy_json(&self.chunk)),
             (
                 "messages",
                 Json::obj([
@@ -445,13 +416,8 @@ pub fn sim_report_json(report: &crate::sim::SimReport, include_verdicts: bool) -
         ("scenarios", Json::UInt(report.scenarios as u64)),
         ("achieved", Json::UInt(report.achieved as u64)),
         ("violations", Json::UInt(report.violations as u64)),
-        ("wall_seconds", Json::Float(report.wall_seconds)),
-        ("scenarios_per_sec", Json::Float(report.scenarios_per_sec)),
         ("events_dispatched", Json::UInt(report.events_dispatched)),
         ("peak_queue_depth", Json::UInt(report.peak_queue_depth)),
-        ("events_per_sec", Json::Float(report.events_per_sec)),
-        ("threads", Json::UInt(report.threads as u64)),
-        ("chunk", chunk_policy_json(&report.chunk)),
         (
             "delivery",
             Json::obj([
@@ -502,21 +468,11 @@ pub fn sim_verdict_json(v: &crate::sim::SimVerdict) -> Json {
         .uint("transmissions", v.transmissions)
         .uint("delivered", v.messages.delivered)
         .uint("payload_allocs", v.messages.payload_allocs)
-        .uint("payload_reuses", v.messages.payload_reuses)
-        .uint("wall_nanos", v.wall_nanos);
+        .uint("payload_reuses", v.messages.payload_reuses);
     if let Some(t) = &v.telemetry {
         fields = fields.field("telemetry", telemetry_summary_json(t));
     }
     fields.build()
-}
-
-/// The JSON form of the work-stealing [`ChunkPolicy`] a sweep ran under.
-#[must_use]
-pub fn chunk_policy_json(policy: &ChunkPolicy) -> Json {
-    JsonFields::new()
-        .uint("target_claims", policy.target_claims as u64)
-        .uint("max_chunk", policy.max_chunk as u64)
-        .build()
 }
 
 /// The JSON form of one model-layer verdict.
@@ -556,8 +512,8 @@ pub fn predicate_summary_json(s: &PredicateSummary) -> Json {
 }
 
 /// The JSON form of grid-wide [`PredicateTotals`] — shared with
-/// `crates/bench`, which extends it with throughput fields, so the two
-/// documents cannot drift.
+/// `crates/bench`, which extends it with the cross-check verdict, so the
+/// two documents cannot drift.
 #[must_use]
 pub fn predicate_totals_json(t: &PredicateTotals) -> Json {
     JsonFields::new()
@@ -601,7 +557,6 @@ pub fn rsm_report_json(report: &crate::rsm::RsmReport, include_verdicts: bool) -
                     .uint("deferred_commands", cell.deferred_commands)
                     .opt_float("requeue_ratio", cell.requeue_ratio())
                     .float("rounds_per_slot", cell.rounds_per_slot())
-                    .float("commands_per_sec", cell.commands_per_sec())
                     .uint("worst_p99_latency_rounds", cell.worst_p99_latency)
                     .uint("backfill_entries", cell.backfill_entries)
                     .uint("divergent_rounds", cell.divergent_rounds)
@@ -615,11 +570,6 @@ pub fn rsm_report_json(report: &crate::rsm::RsmReport, include_verdicts: bool) -
     let mut fields = JsonFields::new()
         .uint("scenarios", report.scenarios as u64)
         .uint("violations", report.violations as u64)
-        .float("wall_seconds", report.wall_seconds)
-        .float("scenarios_per_sec", report.scenarios_per_sec)
-        .float("commands_per_sec", report.commands_per_sec)
-        .uint("threads", report.threads as u64)
-        .field("chunk", chunk_policy_json(&report.chunk))
         .field(
             "service",
             JsonFields::new()
@@ -673,7 +623,6 @@ pub fn rsm_verdict_json(v: &crate::rsm::RsmVerdict) -> Json {
         .opt_uint("catch_up_rounds", v.catch_up_rounds)
         .opt_float("requeue_ratio", v.requeue_ratio())
         .float("rounds_per_slot", v.rounds_per_slot())
-        .float("commands_per_sec", v.commands_per_sec())
         .float("commands_per_round", v.commands_per_round())
         .uint("latency_samples", v.latency_samples)
         .opt_uint("latency_p50", v.latency_p50)
@@ -682,8 +631,7 @@ pub fn rsm_verdict_json(v: &crate::rsm::RsmVerdict) -> Json {
         .opt_uint("latency_max", v.latency_max)
         .uint("payload_allocs", v.payload_allocs)
         .uint("payload_reuses", v.payload_reuses)
-        .uint("delivered", v.delivered_messages)
-        .uint("wall_nanos", v.wall_nanos);
+        .uint("delivered", v.delivered_messages);
     if let Some(t) = &v.telemetry {
         fields = fields.field("telemetry", telemetry_summary_json(t));
     }
@@ -715,12 +663,7 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let report = SweepReport::aggregate(
-            verdicts(3),
-            Duration::from_millis(5),
-            2,
-            ChunkPolicy::default(),
-        );
+        let report = SweepReport::aggregate(verdicts(3));
         let json = report.to_json(true).pretty();
         assert!(json.contains("\"scenarios\": 3"));
         assert!(json.contains("\"cells\""));
@@ -732,12 +675,7 @@ mod tests {
 
     #[test]
     fn by_cell_counts() {
-        let report = SweepReport::aggregate(
-            verdicts(4),
-            Duration::from_millis(1),
-            1,
-            ChunkPolicy::default(),
-        );
+        let report = SweepReport::aggregate(verdicts(4));
         let cells = report.by_cell();
         let cell = cells
             .get(&("one_third_rule".to_owned(), "full_delivery".to_owned()))

@@ -4,7 +4,7 @@
 //! Where the model-layer [`Sweep`](crate::Sweep) asks "does one consensus
 //! instance stay safe and decide?", the rsm sweep asks the *service*
 //! question: under a fault environment, how many client commands does the
-//! replicated log order per second, at what latency-in-rounds, with how
+//! replicated log order per round, at what latency-in-rounds, with how
 //! many rounds per slot — and do all replicas apply identical prefixes
 //! with every command exactly once? The grid therefore gains two axes:
 //! the **pipeline depth** (slots in flight) and the **workload** (command
@@ -16,8 +16,6 @@
 //! joiner is silent for the instance's early rounds. The canonical grids
 //! (see `crates/bench`) sweep UV only under full delivery, where replicas
 //! run in lockstep; OTR and LastVoting are safe under everything.
-
-use std::time::Instant;
 
 use ho_core::adversary::Adversary;
 use ho_core::executor::{RoundScratch, RunError};
@@ -97,7 +95,6 @@ impl RsmScenario {
         A: HoAlgorithm<Value = u64>,
     {
         let shards = self.shards.max(1);
-        let start = Instant::now();
         // One independent fault schedule per group, derived from the
         // scenario seed by the same stream split as the workloads
         // (`shard_seed(seed, 0) == seed`, so S=1 reproduces the unsharded
@@ -139,10 +136,6 @@ impl RsmScenario {
             Err(RunError::Violation(v)) => Some(v.to_string()),
             Err(e @ RunError::MaxRoundsExceeded { .. }) => Some(e.to_string()),
         };
-        // Clock the *service*, not the verdict: the oracle and the stats
-        // aggregation below are harness work and must not dilute the
-        // commands/sec the report tracks.
-        let wall_nanos = start.elapsed().as_nanos() as u64;
         let check = driver.check();
         violation = violation.or_else(|| check.violation.clone());
         let stats = driver.service_stats();
@@ -203,7 +196,6 @@ impl RsmScenario {
             payload_allocs: messages.payload_allocs,
             payload_reuses: messages.payload_reuses,
             delivered_messages: messages.delivered,
-            wall_nanos,
             telemetry,
             forensic_events,
         };
@@ -287,8 +279,6 @@ pub struct RsmVerdict {
     pub payload_reuses: u64,
     /// Messages delivered into mailboxes.
     pub delivered_messages: u64,
-    /// Wall-clock nanoseconds for this scenario.
-    pub wall_nanos: u64,
     /// Telemetry digest from the anchor group (`Some` iff the scenario
     /// ran with the recorder on). A diagnostic — never part of
     /// equivalence comparisons.
@@ -326,15 +316,6 @@ impl RsmVerdict {
     #[must_use]
     pub fn rounds_per_slot(&self) -> f64 {
         ratio(self.rounds_run, self.slots)
-    }
-
-    /// Commands ordered per wall-clock second of scenario execution.
-    #[must_use]
-    pub fn commands_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.commands as f64 * 1e9 / self.wall_nanos as f64
     }
 
     /// Commands ordered per executed round.
@@ -399,7 +380,6 @@ pub struct RsmSweep {
     rounds: u64,
     telemetry: bool,
     threads: Option<usize>,
-    chunking: ChunkPolicy,
 }
 
 impl Default for RsmSweep {
@@ -416,7 +396,6 @@ impl Default for RsmSweep {
             rounds: 60,
             telemetry: false,
             threads: None,
-            chunking: ChunkPolicy::from_env(),
         }
     }
 }
@@ -510,13 +489,6 @@ impl RsmSweep {
         self
     }
 
-    /// Sets the work-stealing chunk policy.
-    #[must_use]
-    pub fn chunking(mut self, policy: ChunkPolicy) -> Self {
-        self.chunking = policy;
-        self
-    }
-
     /// Materialises the scenario grid in axis order
     /// (algorithm, adversary, size, depth, shards, workload, lease, seed).
     #[must_use]
@@ -571,21 +543,15 @@ impl RsmSweep {
     pub fn run(&self) -> RsmReport {
         let scenarios = self.scenarios();
         let threads = self.threads.unwrap_or_else(default_threads);
-        let start = Instant::now();
         let verdicts: Vec<RsmVerdict> = par_map_weighted_with_policy(
             &scenarios,
             threads,
-            self.chunking,
+            ChunkPolicy::default(),
             |s| s.shards.max(1),
             ScenarioScratch::default,
             |scratch, s| s.run_reusing(scratch),
         );
-        RsmReport::aggregate(
-            verdicts,
-            start.elapsed().as_secs_f64(),
-            threads,
-            self.chunking,
-        )
+        RsmReport::aggregate(verdicts)
     }
 }
 
@@ -639,8 +605,6 @@ pub struct RsmCell {
     pub lease_takeovers: u64,
     /// Arrivals deferred by workload backpressure.
     pub deferred_commands: u64,
-    /// Wall nanoseconds summed over the cell's scenarios.
-    pub wall_nanos: u64,
     /// Worst p99 apply latency (rounds) in the cell.
     pub worst_p99_latency: u64,
     /// Backfill entries delivered across the cell's scenarios.
@@ -663,15 +627,6 @@ impl RsmCell {
         ratio(self.rounds, self.slots)
     }
 
-    /// Commands ordered per wall-clock second in the cell.
-    #[must_use]
-    pub fn commands_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.commands as f64 * 1e9 / self.wall_nanos as f64
-    }
-
     /// Requeued commands per ordered command in the cell; `None` when the
     /// cell ordered nothing (reported as `null`, not 0).
     #[must_use]
@@ -689,17 +644,6 @@ pub struct RsmReport {
     pub scenarios: usize,
     /// Scenarios that violated a log invariant.
     pub violations: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Sweep throughput (scenarios per second).
-    pub scenarios_per_sec: f64,
-    /// Service throughput: commands ordered per wall-clock second of
-    /// sweep execution.
-    pub commands_per_sec: f64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// The work-stealing chunk policy.
-    pub chunk: ChunkPolicy,
     /// Grid-wide totals.
     pub totals: RsmTotals,
 }
@@ -707,12 +651,7 @@ pub struct RsmReport {
 impl RsmReport {
     /// Folds verdicts into a report.
     #[must_use]
-    pub fn aggregate(
-        verdicts: Vec<RsmVerdict>,
-        wall_seconds: f64,
-        threads: usize,
-        chunk: ChunkPolicy,
-    ) -> Self {
+    pub fn aggregate(verdicts: Vec<RsmVerdict>) -> Self {
         let scenarios = verdicts.len();
         let violations = verdicts.iter().filter(|v| !v.is_safe()).count();
         let totals = RsmTotals {
@@ -730,19 +669,6 @@ impl RsmReport {
         RsmReport {
             scenarios,
             violations,
-            wall_seconds,
-            scenarios_per_sec: if wall_seconds > 0.0 {
-                scenarios as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            commands_per_sec: if wall_seconds > 0.0 {
-                totals.commands as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            threads,
-            chunk,
             totals,
             verdicts,
         }
@@ -790,7 +716,6 @@ impl RsmReport {
             cell.noop_slots += v.noop_slots;
             cell.lease_takeovers += v.lease_takeovers;
             cell.deferred_commands += v.deferred_commands;
-            cell.wall_nanos += v.wall_nanos;
             cell.worst_p99_latency = cell.worst_p99_latency.max(v.latency_p99.unwrap_or(0));
             cell.backfill_entries += v.backfill_entries;
             cell.divergent_rounds += v.divergent_rounds;
@@ -832,7 +757,6 @@ mod tests {
         assert!(v.slots > 0);
         assert!(v.commands > 0);
         assert!(v.rounds_per_slot() > 0.0);
-        assert!(v.commands_per_sec() > 0.0);
         assert!(v.latency_p50 <= v.latency_p99);
         assert_eq!(v.rounds_run, 60);
         assert_eq!(v.min_slots, v.slots, "lockstep replicas stay level");
@@ -903,7 +827,6 @@ mod tests {
         assert_eq!(report.violations, 0);
         let commands: u64 = report.verdicts.iter().map(|v| v.commands).sum();
         assert_eq!(report.totals.commands, commands);
-        assert!(report.commands_per_sec > 0.0);
         assert!(report.rounds_per_slot() > 0.0);
         let cells = report.by_cell();
         assert_eq!(cells.len(), 1);

@@ -249,7 +249,6 @@ impl Scenario {
     where
         A: HoAlgorithm<Value = u64>,
     {
-        let start = std::time::Instant::now();
         let mut adversary = self.adversary.build(self.n, self.seed);
         // The sweep never reads rows back — verdicts come from the
         // consensus checker, the running stats and (when enabled) the
@@ -335,7 +334,6 @@ impl Scenario {
             predicates,
             telemetry,
             forensic_events,
-            wall_nanos: start.elapsed().as_nanos() as u64,
         };
         // Hand the round buffers back for the next scenario.
         scratch.round = exec.into_scratch();
@@ -404,8 +402,6 @@ pub struct Verdict {
     /// in a safety violation with telemetry on — the raw material of the
     /// forensic artifact.
     pub forensic_events: Option<Vec<Event>>,
-    /// Wall-clock nanoseconds for this scenario.
-    pub wall_nanos: u64,
 }
 
 impl Verdict {

@@ -14,8 +14,6 @@
 //! [`MessageStats`](ho_core::MessageStats) accounting, so a grid's results
 //! aggregate uniformly into `BENCH_sweep.json`'s `sim_layer` section.
 
-use std::time::Instant;
-
 use ho_core::contact::ContactPlan;
 use ho_core::executor::MessageStats;
 use ho_core::telemetry::{Event, Telemetry, TelemetrySummary};
@@ -26,7 +24,7 @@ use ho_predicates::measure::{
 use ho_predicates::SimMeasurement;
 use ho_sim::{BadPeriodConfig, SchedulerKind};
 
-use crate::par::{default_threads, par_map_with_policy, ChunkPolicy};
+use crate::par::{default_threads, par_map_with};
 use crate::report::MessageTotals;
 use crate::scenario::permille;
 
@@ -231,7 +229,6 @@ impl SimScenario {
     /// across scenarios instead of reallocating them per cell.
     #[must_use]
     pub fn run_with(&self, scratch: &mut SimLayerScratch) -> SimVerdict {
-        let start = Instant::now();
         // The recorder ring lives in the scratch: a telemetry-on scenario
         // reuses the previous scenario's allocation (reset, not realloc),
         // a telemetry-off scenario must not inherit a stale ring.
@@ -287,8 +284,6 @@ impl SimScenario {
         } else {
             None
         };
-        let wall_nanos = start.elapsed().as_nanos() as u64;
-        let events_dispatched = outcome.stats.events_dispatched;
         // Forensics: a broken promise drains the ring (the last K events
         // leading up to the violation) out of the scratch before the next
         // scenario resets it.
@@ -313,14 +308,8 @@ impl SimScenario {
             dropped: outcome.stats.dropped,
             crashes: outcome.stats.crashes,
             messages: outcome.messages,
-            events_dispatched,
+            events_dispatched: outcome.stats.events_dispatched,
             peak_queue_depth: outcome.stats.peak_queue_depth,
-            events_per_sec: if wall_nanos > 0 {
-                events_dispatched as f64 / (wall_nanos as f64 * 1e-9)
-            } else {
-                f64::INFINITY
-            },
-            wall_nanos,
             telemetry: outcome.telemetry,
             forensic_events,
         }
@@ -371,11 +360,6 @@ pub struct SimVerdict {
     pub events_dispatched: u64,
     /// High-water mark of pending events in the scheduler.
     pub peak_queue_depth: u64,
-    /// Dispatch throughput (`events_dispatched` over the scenario's wall
-    /// clock).
-    pub events_per_sec: f64,
-    /// Wall-clock nanoseconds for this scenario.
-    pub wall_nanos: u64,
     /// Telemetry digest (`Some` iff the scenario ran with the recorder
     /// on). A diagnostic — never part of equivalence comparisons.
     pub telemetry: Option<TelemetrySummary>,
@@ -414,7 +398,6 @@ pub struct SimSweep {
     scheduler: SchedulerKind,
     telemetry: bool,
     threads: Option<usize>,
-    chunking: ChunkPolicy,
 }
 
 impl Default for SimSweep {
@@ -428,7 +411,6 @@ impl Default for SimSweep {
             scheduler: SchedulerKind::default(),
             telemetry: false,
             threads: None,
-            chunking: ChunkPolicy::from_env(),
         }
     }
 }
@@ -508,14 +490,6 @@ impl SimSweep {
         self
     }
 
-    /// Sets the work-stealing chunk policy (see
-    /// [`Sweep::chunking`](crate::Sweep::chunking)).
-    #[must_use]
-    pub fn chunking(mut self, policy: ChunkPolicy) -> Self {
-        self.chunking = policy;
-        self
-    }
-
     /// Materialises the scenario grid in axis order
     /// (implementation, fault, size, seed).
     #[must_use]
@@ -551,20 +525,11 @@ impl SimSweep {
     pub fn run(&self) -> SimReport {
         let scenarios = self.scenarios();
         let threads = self.threads.unwrap_or_else(default_threads);
-        let start = Instant::now();
-        let verdicts: Vec<SimVerdict> = par_map_with_policy(
-            &scenarios,
-            threads,
-            self.chunking,
-            SimLayerScratch::new,
-            |scratch, s| s.run_with(scratch),
-        );
-        SimReport::aggregate(
-            verdicts,
-            start.elapsed().as_secs_f64(),
-            threads,
-            self.chunking,
-        )
+        let verdicts: Vec<SimVerdict> =
+            par_map_with(&scenarios, threads, SimLayerScratch::new, |scratch, s| {
+                s.run_with(scratch)
+            });
+        SimReport::aggregate(verdicts)
     }
 }
 
@@ -580,20 +545,10 @@ pub struct SimReport {
     pub achieved: usize,
     /// Scenarios that broke the implementation's promise.
     pub violations: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-    /// Throughput.
-    pub scenarios_per_sec: f64,
     /// Events dispatched across the grid.
     pub events_dispatched: u64,
     /// Largest per-scenario queue high-water mark across the grid.
     pub peak_queue_depth: u64,
-    /// Dispatch throughput over the sweep's wall clock.
-    pub events_per_sec: f64,
-    /// Worker threads used.
-    pub threads: usize,
-    /// The chunk policy the sweep ran under.
-    pub chunk: ChunkPolicy,
     /// Unified message-cost totals (same shape as the model layer's).
     pub totals: MessageTotals,
     /// Point-to-point transmissions across the grid.
@@ -607,12 +562,7 @@ pub struct SimReport {
 impl SimReport {
     /// Folds verdicts into a report.
     #[must_use]
-    pub fn aggregate(
-        verdicts: Vec<SimVerdict>,
-        wall_seconds: f64,
-        threads: usize,
-        chunk: ChunkPolicy,
-    ) -> Self {
+    pub fn aggregate(verdicts: Vec<SimVerdict>) -> Self {
         let scenarios = verdicts.len();
         let achieved = verdicts.iter().filter(|v| v.achieved).count();
         let violations = verdicts.iter().filter(|v| !v.is_ok()).count();
@@ -621,30 +571,16 @@ impl SimReport {
             totals.absorb_stats(&v.messages);
             totals.rounds += v.max_round;
         }
-        let events_dispatched = verdicts.iter().map(|v| v.events_dispatched).sum::<u64>();
         SimReport {
             scenarios,
             achieved,
             violations,
-            wall_seconds,
-            scenarios_per_sec: if wall_seconds > 0.0 {
-                scenarios as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            events_dispatched,
+            events_dispatched: verdicts.iter().map(|v| v.events_dispatched).sum(),
             peak_queue_depth: verdicts
                 .iter()
                 .map(|v| v.peak_queue_depth)
                 .max()
                 .unwrap_or(0),
-            events_per_sec: if wall_seconds > 0.0 {
-                events_dispatched as f64 / wall_seconds
-            } else {
-                f64::INFINITY
-            },
-            threads,
-            chunk,
             totals,
             transmissions: verdicts.iter().map(|v| v.transmissions).sum(),
             dropped: verdicts.iter().map(|v| v.dropped).sum(),

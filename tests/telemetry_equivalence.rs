@@ -55,24 +55,20 @@ fn model_sweeps() -> Vec<Sweep> {
 }
 
 /// A model verdict with the telemetry-added fields stripped — the
-/// comparison key. Wall clock is the only other nondeterministic field.
+/// comparison key.
 fn model_key(mut v: Verdict) -> String {
-    v.wall_nanos = 0;
     v.telemetry = None;
     v.forensic_events = None;
     format!("{v:?}")
 }
 
 fn sim_key(mut v: SimVerdict) -> String {
-    v.wall_nanos = 0;
-    v.events_per_sec = 0.0;
     v.telemetry = None;
     v.forensic_events = None;
     format!("{v:?}")
 }
 
 fn rsm_key(mut v: RsmVerdict) -> String {
-    v.wall_nanos = 0;
     v.telemetry = None;
     v.forensic_events = None;
     format!("{v:?}")
