@@ -26,22 +26,27 @@
 //! A round bundle ([`RsmMessage`]) carries, per window slot, either the
 //! running instance's round message or the slot's decided value — so a
 //! replica that already decided a slot keeps *teaching* the decision to
-//! slower peers at zero extra cost. Replicas that fall more than `depth`
-//! slots behind are served by **backfill**: every bundle also carries a
-//! bounded run of applied values starting at the lowest `committed` floor
-//! the sender heard, letting an isolated replica re-join after the
-//! partition heals without the unbounded prefix-shipping of
-//! `RepeatedConsensus`.
+//! slower peers at zero extra cost. The bundle is always one broadcast,
+//! whatever the inner algorithm does: an instance in a point-to-point
+//! phase (LastVoting's rounds 4φ−3 and 4φ−1) writes its
+//! `(destination, message)` pairs into the bundle's `addressed` lane, and
+//! each receiver keeps only the pair addressed to itself. Replicas that
+//! fall more than `depth` slots behind are served by **backfill**: every
+//! bundle also carries a bounded run of applied values starting at the
+//! lowest `committed` floor the sender heard, letting an isolated replica
+//! re-join after the partition heals without the unbounded prefix-shipping
+//! of `RepeatedConsensus`.
 //!
 //! ## Allocation discipline
 //!
 //! The bundle is written through the executor's pooled
-//! [`PlanSlot`](ho_core::send_plan::PlanSlot) (entry and backfill vectors
-//! recycle with the payload buffer), and each window cell keeps a
-//! persistent inner [`SendPlan`] written through a state-owned
-//! [`PayloadPool`] — so in steady state a pipelined broadcast algorithm
-//! performs **zero** heap allocations per round, however many slots are in
-//! flight (`tests/alloc_steady_state.rs`).
+//! [`PlanSlot`](ho_core::send_plan::PlanSlot) (entry, addressed and
+//! backfill vectors recycle with the payload buffer), and each window cell
+//! keeps a persistent inner [`SendPlan`] written through a state-owned
+//! [`PayloadPool`] — so in steady state the pipelined log performs **zero**
+//! heap allocations per round under OneThirdRule, UniformVoting and
+//! LastVoting alike, however many slots are in flight
+//! (`tests/alloc_steady_state.rs`).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -172,8 +177,18 @@ pub enum SlotPayload<M> {
     Decided(u64),
     /// The sender's running instance's round message for this slot.
     Running(M),
+    /// The sender's running instance sends point-to-point this round: its
+    /// `(destination, message)` pairs are the bundle's
+    /// `addressed[start..end]` (possibly none), and a receiver hears only
+    /// the pair addressed to it.
+    Addressed {
+        /// First pair in [`RsmMessage::addressed`].
+        start: usize,
+        /// One past the last pair.
+        end: usize,
+    },
     /// The slot is live at the sender but its instance sends nothing this
-    /// round (e.g. a non-coordinator in a unicast phase).
+    /// round.
     Open,
 }
 
@@ -192,8 +207,12 @@ pub struct SlotEntry<M> {
 pub struct RsmMessage<M> {
     /// The sender's applied-log length (its commit floor).
     pub committed: u64,
-    /// One entry per slot in the sender's window, ascending by slot.
+    /// One entry per slot in the sender's window: `entries[i]` is slot
+    /// `committed + i`.
     pub entries: Vec<SlotEntry<M>>,
+    /// The point-to-point inner messages of every
+    /// [`SlotPayload::Addressed`] entry, each entry's pairs contiguous.
+    pub addressed: Vec<(ProcessId, M)>,
     /// First slot covered by `backfill`.
     pub backfill_start: u64,
     /// Applied values for laggards: slots `backfill_start..` in order.
@@ -205,6 +224,7 @@ impl<M> RsmMessage<M> {
         RsmMessage {
             committed: 0,
             entries: Vec::new(),
+            addressed: Vec::new(),
             backfill_start: 0,
             backfill: Vec::new(),
         }
@@ -577,60 +597,9 @@ impl<A: HoAlgorithm<Value = u64>> MultiSlot<A> {
             .collect()
     }
 
-    /// Whether every live cell's precomputed plan is bundle-able into one
-    /// broadcast (no live unicast phase anywhere in the window).
-    fn all_broadcastable(&self, state: &RsmState<A>) -> bool {
-        state
-            .cells
-            .iter()
-            .all(|c| c.decided.is_some() || !matches!(c.plan, SendPlan::Unicast(_)))
-    }
-
-    /// Writes the broadcast bundle into `m` (reusing its buffers).
+    /// Writes the round bundle into `m`, reusing its buffers.
     fn write_bundle(&self, state: &RsmState<A>, m: &mut RsmMessage<A::Message>) {
-        self.write_bundle_header(state, m);
         let depth = state.cells.len() as u64;
-        let next = state.next_apply();
-        m.entries.clear();
-        for slot in next..next + depth {
-            let cell = &state.cells[(slot % depth) as usize];
-            let payload = match cell.decided {
-                Some(v) => SlotPayload::Decided(v),
-                None => match &cell.plan {
-                    SendPlan::Broadcast(h) => SlotPayload::Running((**h).clone()),
-                    SendPlan::Silent => SlotPayload::Open,
-                    SendPlan::Unicast(_) => {
-                        unreachable!("unicast cells take the per-destination path")
-                    }
-                },
-            };
-            m.entries.push(SlotEntry { slot, payload });
-        }
-    }
-
-    /// The destination-`q` bundle (the unicast fan-out path, used whenever
-    /// some live slot is in a point-to-point phase).
-    fn bundle_for(&self, state: &RsmState<A>, q: ProcessId) -> RsmMessage<A::Message> {
-        let depth = state.cells.len() as u64;
-        let next = state.next_apply();
-        let mut m = RsmMessage::empty();
-        self.write_bundle_header(state, &mut m);
-        for slot in next..next + depth {
-            let cell = &state.cells[(slot % depth) as usize];
-            let payload = match cell.decided {
-                Some(v) => SlotPayload::Decided(v),
-                None => match cell.plan.message_for(q) {
-                    Some(msg) => SlotPayload::Running(msg.clone()),
-                    None => SlotPayload::Open,
-                },
-            };
-            m.entries.push(SlotEntry { slot, payload });
-        }
-        m
-    }
-
-    /// Fills `committed` and the backfill run (shared by both fan-outs).
-    fn write_bundle_header(&self, state: &RsmState<A>, m: &mut RsmMessage<A::Message>) {
         let next = state.next_apply();
         m.committed = next;
         m.backfill.clear();
@@ -640,6 +609,27 @@ impl<A: HoAlgorithm<Value = u64>> MultiSlot<A> {
             let end = (state.lag_floor as usize + self.cfg.backfill).min(next as usize);
             m.backfill
                 .extend_from_slice(&state.applied[state.lag_floor as usize..end]);
+        }
+        m.entries.clear();
+        m.addressed.clear();
+        for slot in next..next + depth {
+            let cell = &state.cells[(slot % depth) as usize];
+            let payload = match cell.decided {
+                Some(v) => SlotPayload::Decided(v),
+                None => match &cell.plan {
+                    SendPlan::Broadcast(h) => SlotPayload::Running((**h).clone()),
+                    SendPlan::Unicast(pairs) => {
+                        let start = m.addressed.len();
+                        m.addressed.extend_from_slice(pairs);
+                        SlotPayload::Addressed {
+                            start,
+                            end: m.addressed.len(),
+                        }
+                    }
+                    SendPlan::Silent => SlotPayload::Open,
+                },
+            };
+            m.entries.push(SlotEntry { slot, payload });
         }
     }
 
@@ -741,40 +731,26 @@ impl<A: HoAlgorithm<Value = u64>> HoAlgorithm for MultiSlot<A> {
                 .all(|c| c.decided.is_some() || c.planned_round == r.get()),
             "send({r:?}) on a state planned for a different round"
         );
-        if self.all_broadcastable(state) {
-            let mut m = RsmMessage::empty();
-            self.write_bundle(state, &mut m);
-            SendPlan::broadcast(m)
-        } else {
-            SendPlan::unicast(
-                (0..self.n())
-                    .map(ProcessId::new)
-                    .map(|q| (q, self.bundle_for(state, q)))
-                    .collect(),
-            )
-        }
+        let mut m = RsmMessage::empty();
+        self.write_bundle(state, &mut m);
+        SendPlan::broadcast(m)
     }
 
     fn send_into(
         &self,
-        r: Round,
-        p: ProcessId,
+        _r: Round,
+        _p: ProcessId,
         state: &RsmState<A>,
         slot: &mut PlanSlot<'_, Self::Message>,
     ) -> u64 {
-        if self.all_broadcastable(state) {
-            slot.broadcast_with(
-                || {
-                    let mut m = RsmMessage::empty();
-                    self.write_bundle(state, &mut m);
-                    m
-                },
-                |m| self.write_bundle(state, m),
-            )
-        } else {
-            slot.set(self.send(r, p, state));
-            0
-        }
+        slot.broadcast_with(
+            || {
+                let mut m = RsmMessage::empty();
+                self.write_bundle(state, &mut m);
+                m
+            },
+            |m| self.write_bundle(state, m),
+        )
     }
 
     fn transition(
@@ -838,14 +814,7 @@ impl<A: HoAlgorithm<Value = u64>> HoAlgorithm for MultiSlot<A> {
                 continue;
             }
             let slot = state.cells[idx].slot;
-            inner_mb.clear();
-            for (q, m) in mb.iter() {
-                if let Some(e) = m.entries.iter().find(|e| e.slot == slot) {
-                    if let SlotPayload::Running(payload) = &e.payload {
-                        inner_mb.push(q, payload.clone());
-                    }
-                }
-            }
+            demux(p, slot, mb, &mut inner_mb);
             let cell = &mut state.cells[idx];
             self.inner.transition(r, p, &mut cell.state, &inner_mb);
             if let Some(v) = self.inner.decision(&cell.state) {
@@ -872,6 +841,33 @@ impl<A: HoAlgorithm<Value = u64>> HoAlgorithm for MultiSlot<A> {
     /// [`check_logs`](crate::checker::check_logs) oracle's job.
     fn decision(&self, state: &RsmState<A>) -> Option<u64> {
         state.applied.first().copied()
+    }
+}
+
+/// Refills `inner` with the slot-`slot` round messages that the bundles in
+/// `mb` carry for receiver `p`. A sender's entries start at its
+/// `committed`, so the slot's entry is found by index; a sender whose
+/// window does not cover the slot says nothing about it.
+fn demux<M: Clone>(p: ProcessId, slot: u64, mb: &Mailbox<RsmMessage<M>>, inner: &mut Mailbox<M>) {
+    inner.clear();
+    for (q, m) in mb.iter() {
+        let Some(e) = slot
+            .checked_sub(m.committed)
+            .and_then(|i| m.entries.get(usize::try_from(i).ok()?))
+        else {
+            continue;
+        };
+        debug_assert_eq!(e.slot, slot, "bundle entries are contiguous");
+        match &e.payload {
+            SlotPayload::Running(payload) => inner.push(q, payload.clone()),
+            SlotPayload::Addressed { start, end } => {
+                if let Some((_, payload)) = m.addressed[*start..*end].iter().find(|(d, _)| *d == p)
+                {
+                    inner.push(q, payload.clone());
+                }
+            }
+            SlotPayload::Decided(_) | SlotPayload::Open => {}
+        }
     }
 }
 
@@ -914,7 +910,7 @@ fn mix(seed: u64, salt: u64) -> u64 {
 mod tests {
     use super::*;
     use ho_core::adversary::{FullDelivery, RandomLoss, Scripted};
-    use ho_core::algorithms::OneThirdRule;
+    use ho_core::algorithms::{LastVoting, LastVotingMessage, OneThirdRule};
     use ho_core::executor::RoundExecutor;
     use ho_core::process::ProcessSet;
 
@@ -1293,6 +1289,85 @@ mod tests {
             (logs(&exec), stats)
         };
         assert_eq!(run(FlowControl::default()), run(FlowControl::off()));
+    }
+
+    #[test]
+    fn point_to_point_rounds_ride_one_broadcast_bundle() {
+        // Round 1 is LastVoting's 4φ−3 of phase 1: every live slot's
+        // instance sends its estimate to the coordinator only. The bundle
+        // is still one broadcast; the coordinator demultiplexes every
+        // heard peer's estimate out of it, everybody else hears none.
+        let n = 4;
+        let alg = MultiSlot::new(
+            LastVoting::new(n),
+            WorkloadSpec::FixedRate { per_round: 2 },
+            RsmConfig::with_depth(4),
+            42,
+        );
+        let coord = alg.inner().coord(1);
+        let hearing = [0, 1, 3];
+        let states: Vec<_> = (0..n).map(|q| alg.init(ProcessId::new(q), 0)).collect();
+        let mut mb = Mailbox::with_capacity(n);
+        for &q in &hearing {
+            let plan = alg.send(Round(1), ProcessId::new(q), &states[q]);
+            let bundle = plan.broadcast_payload().expect("the bundle is a broadcast");
+            mb.push(ProcessId::new(q), bundle.clone());
+        }
+        let mut inner = Mailbox::with_capacity(n);
+        for slot in 0..4 {
+            demux(coord, slot, &mb, &mut inner);
+            let heard: Vec<_> = inner.iter().map(|(q, m)| (q.index(), m.clone())).collect();
+            let expected: Vec<_> = hearing
+                .iter()
+                .map(|&q| {
+                    let x = states[q].cells[slot as usize].proposal;
+                    (q, LastVotingMessage::Estimate(x, 0))
+                })
+                .collect();
+            assert_eq!(heard, expected, "coordinator, slot {slot}");
+            for p in (0..n).map(ProcessId::new).filter(|&p| p != coord) {
+                demux(p, slot, &mb, &mut inner);
+                assert!(inner.is_empty(), "{p} is not the coordinator, slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn bundle_entries_are_found_by_index_from_the_senders_floor() {
+        // Senders' windows start behind (8), level with (10) and ahead of
+        // (12) a receiver whose window is 10..14. Entry i of a bundle is
+        // slot `committed + i`; a slot outside the sender's window is
+        // skipped.
+        let bundle = |committed: u64| RsmMessage {
+            committed,
+            entries: (committed..committed + 4)
+                .map(|slot| SlotEntry {
+                    slot,
+                    payload: SlotPayload::Running(slot * 100 + committed),
+                })
+                .collect(),
+            addressed: Vec::new(),
+            backfill_start: 0,
+            backfill: Vec::new(),
+        };
+        let mut mb = Mailbox::with_capacity(3);
+        for (q, committed) in [8, 10, 12].into_iter().enumerate() {
+            mb.push(ProcessId::new(q), bundle(committed));
+        }
+        let mut inner = Mailbox::with_capacity(3);
+        let mut heard = |slot: u64| {
+            demux(ProcessId::new(1), slot, &mb, &mut inner);
+            inner
+                .iter()
+                .map(|(q, &m)| (q.index(), m))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(heard(10), [(0, 1008), (1, 1010)]);
+        assert_eq!(heard(11), [(0, 1108), (1, 1110)]);
+        assert_eq!(heard(12), [(1, 1210), (2, 1212)]);
+        assert_eq!(heard(13), [(1, 1310), (2, 1312)]);
+        assert_eq!(heard(7), [], "below every sender's floor");
+        assert_eq!(heard(16), [], "past every sender's window");
     }
 
     #[test]

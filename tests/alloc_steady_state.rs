@@ -8,14 +8,13 @@
 //! the statistics-only trace never materialises a row.
 //!
 //! Counting is gated on a thread-local flag set only around the measured
-//! window: the libtest harness's main thread allocates in the background
-//! (channel and thread-bookkeeping lazy init), and a process-global count
-//! would flake on those. All phases still run inside a single `#[test]` so
-//! the measured windows stay serial.
+//! window, and the count itself is thread-local: the libtest harness's
+//! main thread allocates in the background (channel and thread-bookkeeping
+//! lazy init), and the `#[test]`s here run in parallel, so a process-global
+//! count would flake on either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use heardof::core::adversary::{Adversary, FullDelivery, KernelOnly, RandomLoss};
 use heardof::core::algorithms::{LastVoting, OneThirdRule, UniformVoting};
@@ -34,31 +33,31 @@ use heardof::sim::{GoodKind, Program, Schedule, SimConfig, Simulator, TimePoint}
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Whether allocations on *this* thread are being counted.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations counted on *this* thread. Per thread, not global: the
+    /// `#[test]`s of this file run in parallel, and a shared counter would
+    /// charge one test's measured window with another's allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tracking() -> bool {
+fn count() {
     // `try_with`: the allocator can run during thread teardown, after the
-    // thread-local has been destroyed.
-    TRACKING.try_with(Cell::get).unwrap_or(false)
+    // thread-locals have been destroyed.
+    if TRACKING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if tracking() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if tracking() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -72,11 +71,11 @@ static COUNTER: CountingAllocator = CountingAllocator;
 
 /// Allocations performed by `f` on the calling thread.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     TRACKING.with(|t| t.set(true));
     f();
     TRACKING.with(|t| t.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Warm an executor up, then count allocations over `rounds` further rounds.
@@ -421,6 +420,61 @@ fn multi_slot_log_driver_zero_allocations_per_round_in_steady_state() {
     );
     let check = driver.check();
     assert!(check.is_ok(), "{:?}", check.violation);
+
+    // The contract holds for every inner algorithm, not only OTR's pure
+    // broadcasts: LastVoting's point-to-point rounds (4φ−3, 4φ−1) ride the
+    // same pooled broadcast bundle through its addressed lane, under full
+    // delivery and under loss; UniformVoting broadcasts in every round.
+    let mut lv_cases: Vec<(&str, Box<dyn Adversary>)> = vec![
+        ("FullDelivery", Box::new(FullDelivery)),
+        ("RandomLoss(0.25)", Box::new(RandomLoss::new(0.25, 7))),
+    ];
+    for (name, adv) in &mut lv_cases {
+        let mut cfg = RsmConfig::with_depth(4);
+        cfg.reserve_slots = 2048;
+        cfg.reserve_commands = 4096;
+        let mut driver = LogDriver::new(
+            LastVoting::new(n),
+            WorkloadSpec::FixedRate { per_round: 2 },
+            cfg,
+            13,
+        );
+        driver.run(adv, 60).expect("warm-up safe");
+        let before = driver.check().commands;
+        assert_eq!(
+            allocs_during(|| driver.run(adv, 300).expect("steady state safe")),
+            0,
+            "LogDriver<LastVoting> depth=4 / FixedRate / {name}"
+        );
+        let check = driver.check();
+        assert!(check.is_ok(), "{name}: {:?}", check.violation);
+        assert!(
+            check.commands > before,
+            "{name}: the window ordered commands"
+        );
+    }
+
+    let mut cfg = RsmConfig::with_depth(16);
+    cfg.reserve_slots = 4096;
+    cfg.reserve_commands = 4096;
+    let mut driver = LogDriver::new(
+        UniformVoting::new(n),
+        WorkloadSpec::FixedRate { per_round: 2 },
+        cfg,
+        13,
+    );
+    driver.run(&mut FullDelivery, 60).expect("warm-up safe");
+    let before = driver.check().commands;
+    assert_eq!(
+        allocs_during(|| driver
+            .run(&mut FullDelivery, 300)
+            .expect("steady state safe")),
+        0,
+        "LogDriver<UniformVoting> depth=16 / FixedRate / FullDelivery"
+    );
+    let check = driver.check();
+    assert!(check.is_ok(), "{:?}", check.violation);
+    assert!(check.commands > before, "the window ordered commands");
 }
 
 #[test]

@@ -2,15 +2,15 @@
 //! adversary zoo, every replica applies an identical log prefix, no
 //! command is applied twice, and nothing decided is ever dropped.
 //!
-//! The grid is the ISSUE's contract: 50 seeds × the full zoo ×
+//! The grid is the suite's contract: 50 seeds × the full zoo ×
 //! n ∈ {4, 7, 13} × pipeline depths {1, 4, 16}, checked by the
 //! deterministic applied-log oracle (`ho_rsm::check_logs`) inside every
 //! verdict — a violation anywhere fails the sweep. OneThirdRule carries
-//! the full grid (its safety needs no communication predicate);
-//! LastVoting covers the zoo on a thinner seed axis (its unicast phases
-//! take the fan-out path, so it is the expensive way to order slots);
-//! UniformVoting runs under full delivery, the only environment in which
-//! pipelined replicas stay in lockstep (see `ho_harness::rsm`).
+//! the full grid (its safety needs no communication predicate), and so
+//! does LastVoting (its point-to-point phases ride the same one-broadcast
+//! bundle per replica per round as OTR's); UniformVoting runs under full
+//! delivery, the only environment in which pipelined replicas stay in
+//! lockstep (see `ho_harness::rsm`).
 
 use heardof::harness::{
     AdversarySpec, AlgorithmSpec, RsmReport, RsmScenario, RsmSweep, WorkloadSpec,
@@ -82,10 +82,10 @@ fn lv_logs_agree_across_the_zoo() {
         .sizes([4, 7, 13])
         .depths([1, 4, 16])
         .workloads([WorkloadSpec::ClosedLoop { clients: 8 }])
-        .seeds(0..8)
+        .seeds(0..50)
         .rounds(40)
         .run();
-    assert_eq!(report.scenarios, 7 * 3 * 3 * 8);
+    assert_eq!(report.scenarios, 7 * 3 * 3 * 50);
     assert_all_safe(&report);
     assert!(report.totals.commands > 0);
 }
